@@ -311,7 +311,13 @@ stm::Word DurableTx::load(const stm::Word* addr) {
     const stm::Word val = stm::raw_load(addr);
     const std::uint64_t v2 = o.word.load(std::memory_order_acquire);
     if (v2 == v) {
-      if ((v >> 1) > rv_) extend_or_die();
+      if ((v >> 1) > rv_) {
+        // Extend, then re-read the orec: see TinyTx::load.
+        if (pre_extend_hook_) pre_extend_hook_();
+        extend_or_die();
+        v = o.word.load(std::memory_order_acquire);
+        continue;
+      }
       read_set_.push_back({&o, v});
       return val;
     }

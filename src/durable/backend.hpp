@@ -34,6 +34,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -238,6 +239,10 @@ class DurableTx {
   stm::ThreadStats& stats() { return stats_; }
   const stm::ThreadStats& stats() const { return stats_; }
   bool in_tx() const { return active_; }
+  /// See stm::TinyTx::set_pre_extend_hook (test-only).
+  void set_pre_extend_hook(std::function<void()> hook) {
+    pre_extend_hook_ = std::move(hook);
+  }
 
   /// Durable acknowledgments this descriptor waited out, and the wait
   /// latency distribution (ns).
@@ -291,6 +296,7 @@ class DurableTx {
   std::vector<stm::WaitTable::Ticket> wait_set_;
   std::vector<RedoWord> redo_;  ///< region writes of the committing attempt
   stm::ThreadStats stats_;
+  std::function<void()> pre_extend_hook_;  ///< test-only, see setter
 
   util::HdrHistogram ack_hist_;
   std::uint64_t acks_ = 0;

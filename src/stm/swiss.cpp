@@ -172,7 +172,12 @@ Word SwissTx::load(const Word* addr) {
     const Word val = raw_load(addr);
     const std::uint64_t v2 = o.rver.load(std::memory_order_acquire);
     if (v1 != v2) continue;
-    if ((v1 >> 1) > rv_) extend_or_die();
+    if ((v1 >> 1) > rv_) {
+      // Extend, then re-read the orec: see TinyTx::load.
+      if (pre_extend_hook_) pre_extend_hook_();
+      extend_or_die();
+      continue;
+    }
     read_set_.push_back({&o, v1});
     return val;
   }

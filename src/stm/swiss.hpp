@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -136,6 +137,10 @@ class SwissTx {
   ThreadStats& stats() { return stats_; }
   const ThreadStats& stats() const { return stats_; }
   bool in_tx() const { return active_; }
+  /// See TinyTx::set_pre_extend_hook (test-only).
+  void set_pre_extend_hook(std::function<void()> hook) {
+    pre_extend_hook_ = std::move(hook);
+  }
   std::uint64_t greedy_ticket() const {
     return ticket_.load(std::memory_order_acquire);
   }
@@ -191,6 +196,7 @@ class SwissTx {
   std::vector<void*> last_write_addrs_;
   std::vector<WaitTable::Ticket> wait_set_;  ///< retry_wait() tickets
   ThreadStats stats_;
+  std::function<void()> pre_extend_hook_;  ///< test-only, see setter
 };
 
 }  // namespace shrinktm::stm

@@ -161,7 +161,17 @@ Word TinyTx::load(const Word* addr) {
     const Word val = raw_load(addr);
     const std::uint64_t v2 = o.word.load(std::memory_order_acquire);
     if (v2 == v) {
-      if ((v >> 1) > rv_) extend_or_die();
+      if ((v >> 1) > rv_) {
+        // Newer than the snapshot: extend, then read the orec again.  The
+        // extension validates the read set without this orec, so a commit
+        // that lands on it after `val` was read would otherwise leave a
+        // stale entry inside the newer snapshot (a torn read, or a lost
+        // update behind commit()'s wv == rv_ + 1 shortcut).
+        if (pre_extend_hook_) pre_extend_hook_();
+        extend_or_die();
+        v = o.word.load(std::memory_order_acquire);
+        continue;
+      }
       read_set_.push_back({&o, v});
       return val;
     }

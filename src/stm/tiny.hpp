@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -172,6 +173,14 @@ class TinyTx {
   const ThreadStats& stats() const { return stats_; }
   bool in_tx() const { return active_; }
 
+  /// Test-only: called inside load() when the orec is newer than the
+  /// snapshot, after the value was read and before the snapshot is
+  /// extended, so a test can land a commit inside that window.  Empty
+  /// outside tests; the common read path never looks at it.
+  void set_pre_extend_hook(std::function<void()> hook) {
+    pre_extend_hook_ = std::move(hook);
+  }
+
  private:
   friend class TinyBackend;
 
@@ -218,6 +227,7 @@ class TinyTx {
   std::vector<void*> last_write_addrs_;
   std::vector<WaitTable::Ticket> wait_set_;  ///< retry_wait() tickets
   ThreadStats stats_;
+  std::function<void()> pre_extend_hook_;  ///< test-only, see setter
 };
 
 }  // namespace shrinktm::stm

@@ -75,20 +75,25 @@ TEST(SharedTyped, MultiWordAtomicityUnderContention) {
     api::Shared<Vec3> v(Vec3{0, 0, 0});
     std::atomic<bool> stop{false};
     std::atomic<std::uint64_t> torn{0};
+    constexpr int kWriters = 2;
+    std::atomic<int> writers_committed{0};  // writers past their first commit
 
     std::vector<std::thread> writers;
-    for (int w = 0; w < 2; ++w) {
+    for (int w = 0; w < kWriters; ++w) {
       writers.emplace_back([&, w] {
         api::ThreadHandle th = rt.attach();
-        std::int64_t i = 1 + w * 1'000'000;
-        while (!stop.load(std::memory_order_relaxed)) {
+        const std::int64_t first = 1 + w * 1'000'000;
+        for (std::int64_t i = first; !stop.load(std::memory_order_relaxed); ++i) {
           atomically(th, [&](api::Tx& tx) { tx.write(v, Vec3{i, i, i}); });
-          ++i;
+          if (i == first) writers_committed.fetch_add(1);
         }
       });
     }
     std::thread reader([&] {
       api::ThreadHandle th = rt.attach();
+      // Start only once every writer has committed, so the reads overlap
+      // concurrent multi-word writes instead of possibly preceding them all.
+      while (writers_committed.load() < kWriters) std::this_thread::yield();
       for (int i = 0; i < 20'000; ++i) {
         const Vec3 got = atomically(th, [&](api::Tx& tx) { return tx.read(v); });
         if (!got.uniform()) torn.fetch_add(1);

@@ -20,6 +20,7 @@
 #include "api/shrinktm.hpp"
 #include "durable/log_format.hpp"
 #include "durable/log_reader.hpp"
+#include "extension_window.hpp"
 
 namespace shrinktm {
 namespace {
@@ -483,6 +484,20 @@ TEST(Durable, AsyncAndNoneModesSkipTheAckWait) {
       EXPECT_EQ(rt.durable_region()->slot<std::int64_t>(0).unsafe_read(), 16);
     }
   }
+}
+
+// ------------------------------------- snapshot extension in DurableTx::load
+
+TEST(Durable, ExtensionWindowCommitNeverTearsAReadOnlyPair) {
+  durable::DurableBackend backend;  // ephemeral directory
+  testing_support::expect_no_torn_pair_across_extension(
+      backend, backend.region().word(0), backend.region().word(1));
+}
+
+TEST(Durable, ExtensionWindowCommitIsNeverLostByTheShortcut) {
+  durable::DurableBackend backend;
+  testing_support::expect_no_lost_update_across_extension(
+      backend, backend.region().word(0));
 }
 
 // ------------------------------------------- composable blocking on durable

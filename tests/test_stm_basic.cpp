@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "api/tx.hpp"
+#include "extension_window.hpp"
 #include "stm/runner.hpp"
 #include "stm/swiss.hpp"
 #include "stm/tiny.hpp"
@@ -108,6 +109,9 @@ TYPED_TEST(StmBasicTest, SnapshotIsolationPairInvariant) {
   });
   std::thread reader([&] {
     stm::TxRunner<typename TypeParam::Tx> r(backend.tx(1), nullptr);
+    // Start only once a pair has committed, so the reads below overlap
+    // paired writes instead of possibly all finishing before the first one.
+    while (writes.load() == 0) std::this_thread::yield();
     for (int c = 0; c < 3000; ++c) {
       r.run([&](auto& tx) {
         const auto x = a.read(tx);
@@ -121,6 +125,19 @@ TYPED_TEST(StmBasicTest, SnapshotIsolationPairInvariant) {
   reader.join();
   EXPECT_GT(writes.load(), 0u);
   EXPECT_EQ(a.unsafe_read(), -b.unsafe_read());
+}
+
+TYPED_TEST(StmBasicTest, ExtensionWindowCommitNeverTearsAReadOnlyPair) {
+  TypeParam backend;
+  stm::Word cells[2] = {0, 0};
+  testing_support::expect_no_torn_pair_across_extension(backend, &cells[0],
+                                                        &cells[1]);
+}
+
+TYPED_TEST(StmBasicTest, ExtensionWindowCommitIsNeverLostByTheShortcut) {
+  TypeParam backend;
+  stm::Word counter = 0;
+  testing_support::expect_no_lost_update_across_extension(backend, &counter);
 }
 
 TYPED_TEST(StmBasicTest, WriteOracleSeesForeignLocks) {
